@@ -421,7 +421,12 @@ func (c *dispatchCache) store(gen uint64, pol *security.Policy, aud *security.Au
 		return
 	}
 	if snap != nil {
-		boundedStore(&t.methods, &t.nmethods, maxMethodEntries, name, snap)
+		// A concurrent fill may already have cached a snapshot of the same
+		// method state: keep that one while it is fresh, so a refill never
+		// evicts an entry that composed hot entries and readers still use.
+		if cur := t.method(name); cur == nil || !cur.fresh() {
+			boundedStore(&t.methods, &t.nmethods, maxMethodEntries, name, snap)
+		}
 	}
 	if ent != nil {
 		boundedStore(&t.match, &t.nmatch, maxMatchEntries, key, ent)

@@ -115,6 +115,25 @@ func methodImage(m *Method) (MethodImage, error) {
 // method has an unregistered (anonymous) native body, since such a body
 // could not be rebuilt elsewhere.
 func (o *Object) Snapshot() (Image, error) {
+	img, derived, err := o.lockedImage()
+	if err != nil {
+		return Image{}, err
+	}
+	// Derived items are computed after the lock is released (see readData).
+	for _, items := range [][]DataItemImage{img.FixedData, img.ExtData} {
+		for i := range items {
+			if fn := derived[items[i].Name]; fn != nil {
+				items[i].Value = fn()
+			}
+		}
+	}
+	return img, nil
+}
+
+// lockedImage captures the object's stored state under the object lock. It
+// returns the derived items' functions by name instead of running them, so
+// the caller can compute those values unlocked.
+func (o *Object) lockedImage() (Image, map[string]func() value.Value, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
@@ -126,12 +145,20 @@ func (o *Object) Snapshot() (Image, error) {
 		MetaACL:    ACLImage(o.metaACL),
 	}
 	var err error
-	o.fixedData.each(func(_ string, d *DataItem) {
-		img.FixedData = append(img.FixedData, dataImage(d))
-	})
-	o.extData.each(func(_ string, d *DataItem) {
-		img.ExtData = append(img.ExtData, dataImage(d))
-	})
+	var derived map[string]func() value.Value
+	collectData := func(c *container[*DataItem], dst *[]DataItemImage) {
+		c.each(func(name string, d *DataItem) {
+			if d.derive != nil {
+				if derived == nil {
+					derived = make(map[string]func() value.Value)
+				}
+				derived[name] = d.derive
+			}
+			*dst = append(*dst, dataImage(d))
+		})
+	}
+	collectData(o.fixedData, &img.FixedData)
+	collectData(o.extData, &img.ExtData)
 	collectMethods := func(c *container[*Method], dst *[]MethodImage) {
 		c.each(func(name string, m *Method) {
 			if err != nil || isReservedName(name) {
@@ -150,14 +177,14 @@ func (o *Object) Snapshot() (Image, error) {
 	for _, lvl := range o.invokeLevels {
 		mi, e := methodImage(lvl)
 		if e != nil {
-			return Image{}, e
+			return Image{}, nil, e
 		}
 		img.InvokeLevels = append(img.InvokeLevels, mi)
 	}
 	if err != nil {
-		return Image{}, err
+		return Image{}, nil, err
 	}
-	return img, nil
+	return img, derived, nil
 }
 
 // MaterializeOption configures FromImage.

@@ -28,13 +28,21 @@ type DataItem struct {
 	visible bool
 	fixed   bool
 	gen     *atomic.Uint64 // bumped (under the object lock) on any edit
+	// derive, when non-nil, makes the item derived: it stores no value and
+	// every read computes one (see Derived).
+	derive func() value.Value
 }
 
 // Name returns the item name.
 func (d *DataItem) Name() string { return d.name }
 
-// Value returns the current value.
-func (d *DataItem) Value() value.Value { return d.val }
+// Value returns the current value; a derived item computes it.
+func (d *DataItem) Value() value.Value {
+	if d.derive != nil {
+		return d.derive()
+	}
+	return d.val
+}
 
 // Visible reports whether the item is listed to other objects.
 func (d *DataItem) Visible() bool { return d.visible }
@@ -49,7 +57,11 @@ func (d *DataItem) ACL() security.ACL { return d.acl }
 func (d *DataItem) DynKind() value.Kind { return d.dynKind }
 
 // setValue stores v, applying the dynamic-type coercion if constrained.
+// A derived item has no stored value to replace.
 func (d *DataItem) setValue(v value.Value) error {
+	if d.derive != nil {
+		return fmt.Errorf("%w: data item %q is derived", ErrFixed, d.name)
+	}
 	if d.dynKind != value.KindNull {
 		c, err := value.Coerce(v, d.dynKind)
 		if err != nil {
@@ -63,11 +75,13 @@ func (d *DataItem) setValue(v value.Value) error {
 
 // describe renders the item description returned by the getDataItem
 // meta-method: a map of the item's properties (not its value — values are
-// read with ordinary get).
+// read with ordinary get). A derived item computes its value for the kind,
+// so callers pass a copy of the item taken under the object lock and call
+// describe after releasing it.
 func (d *DataItem) describe(handle string) value.Value {
 	return value.NewMap(map[string]value.Value{
 		"name":    value.NewString(d.name),
-		"kind":    value.NewString(d.val.Kind().String()),
+		"kind":    value.NewString(d.Value().Kind().String()),
 		"dynKind": value.NewString(d.dynKind.String()),
 		"visible": value.NewBool(d.visible),
 		"fixed":   value.NewBool(d.fixed),
@@ -142,6 +156,7 @@ type itemConfig struct {
 	dynKind value.Kind
 	pre     Body
 	post    Body
+	derive  func() value.Value
 }
 
 func newItemConfig() itemConfig {
@@ -173,4 +188,12 @@ func WithPre(b Body) ItemOption {
 // WithPost attaches a post-procedure to a method.
 func WithPost(b Body) ItemOption {
 	return func(c *itemConfig) { c.post = b }
+}
+
+// Derived makes a data item derived: instead of storing a value, the item
+// answers every read (get, Snapshot, getDataItem's kind) with a fresh call
+// of fn, and set fails with ErrFixed. fn runs outside the object lock, so
+// it may take other locks. The value given to the builder is ignored.
+func Derived(fn func() value.Value) ItemOption {
+	return func(c *itemConfig) { c.derive = fn }
 }

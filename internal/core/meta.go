@@ -222,15 +222,14 @@ func metaGetDataItem(inv *Invocation, args []value.Value) (value.Value, error) {
 	}
 	o := inv.self
 	o.mu.Lock()
-	defer o.mu.Unlock()
 	d, ok := o.lookupData(name)
-	if !ok {
+	if !ok || (!d.visible && inv.caller.Object != o.id) {
+		o.mu.Unlock()
 		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
 	}
-	if !d.visible && inv.caller.Object != o.id {
-		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
-	}
-	return d.describe(o.newHandle(d)), nil
+	item, handle := *d, o.newHandle(d)
+	o.mu.Unlock()
+	return item.describe(handle), nil
 }
 
 func metaSetDataItem(inv *Invocation, args []value.Value) (value.Value, error) {

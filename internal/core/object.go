@@ -170,12 +170,7 @@ func (o *Object) getData(caller security.Principal, name string) (value.Value, e
 		if decision != nil {
 			return value.Null, decision
 		}
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		if d, ok := o.lookupData(name); ok {
-			return d.val, nil
-		}
-		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
+		return o.readData(name)
 	}
 
 	o.mu.Lock()
@@ -193,14 +188,27 @@ func (o *Object) getData(caller security.Principal, name string) (value.Value, e
 	if err := o.matchAndMemo(caller, acl, visible, gen, src, srcGen, pol, aud, security.ActionGet, name); err != nil {
 		return value.Null, err
 	}
+	// Re-read; the item may have changed (not vanished: deletion would
+	// surface as ErrNotFound on the next access, which is fine).
+	return o.readData(name)
+}
+
+// readData returns the named item's current value. A derived item is
+// computed after the object lock is released, so its function may take
+// other locks without ordering them under o.mu.
+func (o *Object) readData(name string) (value.Value, error) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	// Re-read under lock; the item may have changed (not vanished: deletion
-	// would surface as ErrNotFound on the next access, which is fine).
-	if d2, ok := o.lookupData(name); ok {
-		return d2.val, nil
+	d, ok := o.lookupData(name)
+	if !ok {
+		o.mu.Unlock()
+		return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
 	}
-	return value.Null, fmt.Errorf("%w: data item %q", ErrNotFound, name)
+	v, derive := d.val, d.derive
+	o.mu.Unlock()
+	if derive != nil {
+		return derive(), nil
+	}
+	return v, nil
 }
 
 // setData implements the ordinary `set` operation with its Match check.
@@ -473,10 +481,13 @@ func (b *Builder) addData(c *container[*DataItem], fixed bool, name string, v va
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	d := &DataItem{name: name, acl: cfg.acl, visible: cfg.visible, dynKind: cfg.dynKind, fixed: fixed, gen: newItemGen()}
-	if err := d.setValue(v); err != nil {
-		b.fail(err)
-		return
+	d := &DataItem{name: name, acl: cfg.acl, visible: cfg.visible, dynKind: cfg.dynKind, fixed: fixed,
+		gen: newItemGen(), derive: cfg.derive}
+	if d.derive == nil {
+		if err := d.setValue(v); err != nil {
+			b.fail(err)
+			return
+		}
 	}
 	if isReservedName(name) {
 		b.fail(fmt.Errorf("%w: %q is reserved", ErrExists, name))

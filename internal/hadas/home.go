@@ -15,37 +15,23 @@ import (
 // homeShardCount shards keyed by an FNV-1a hash of the APO name:
 //
 //   - mutations take one shard's write lock — arrivals, departures and
-//     installs on different names proceed in parallel;
-//   - lookups are lock-free when the shard publishes a read snapshot
-//     (shards at or below homeSnapLimit entries republish on every write,
-//     in the spirit of the dispatch fast path's levelsSnap), and fall back
-//     to the shard's read lock above that, where the O(n) republish cost
-//     would dominate mutation;
-//   - enumeration (APONames, PersistAll) walks the shards independently —
-//     it observes a per-shard-consistent view, which is all the old
-//     whole-map lock gave concurrent callers anyway.
-const (
-	// homeShardCount is the number of Home shards. A power of two, so the
-	// hash folds with a mask; 64 spreads independent names across more
-	// lock words than any plausible GOMAXPROCS.
-	homeShardCount = 64
+//     installs on different names proceed in parallel — and cost O(1)
+//     whatever the site's population;
+//   - lookups take one shard's read lock;
+//   - enumeration (APONames, PersistAll, the IOO's derived "home" item)
+//     walks the shards independently — it observes a per-shard-consistent
+//     view, which is all the old whole-map lock gave concurrent callers
+//     anyway.
 
-	// homeSnapLimit is the largest shard (entry count) that republishes
-	// its lock-free read snapshot on every mutation. Above it, readers use
-	// the shard RLock: copying tens of thousands of entries per arrival
-	// would cost more than the read lock saves, and at that size the name
-	// space spreads contention across shards already.
-	homeSnapLimit = 1024
-)
+// homeShardCount is the number of Home shards. A power of two, so the hash
+// folds with a mask; 64 spreads independent names across more lock words
+// than any plausible GOMAXPROCS.
+const homeShardCount = 64
 
 // homeShard is one lock domain of the Home container.
 type homeShard struct {
 	mu   sync.RWMutex
 	live map[string]*core.Object
-	// snap is the published read snapshot: non-nil only while the shard is
-	// at or below homeSnapLimit, and always current when non-nil (writers
-	// republish or invalidate before releasing mu).
-	snap atomic.Pointer[map[string]*core.Object]
 }
 
 // homeContainer is the sharded Home: the site's APO container.
@@ -68,28 +54,9 @@ func (c *homeContainer) shard(name string) *homeShard {
 	return &c.shards[homeShardIndex(name)]
 }
 
-// publishLocked refreshes (or invalidates) the shard's read snapshot.
-// Callers hold sh.mu.
-func (sh *homeShard) publishLocked() {
-	if len(sh.live) > homeSnapLimit {
-		sh.snap.Store(nil)
-		return
-	}
-	m := make(map[string]*core.Object, len(sh.live))
-	for k, v := range sh.live {
-		m[k] = v
-	}
-	sh.snap.Store(&m)
-}
-
-// get resolves a Home member. Lock-free when the shard's snapshot is
-// published; otherwise one shard RLock.
+// get resolves a Home member under one shard read lock.
 func (c *homeContainer) get(name string) (*core.Object, bool) {
 	sh := c.shard(name)
-	if m := sh.snap.Load(); m != nil {
-		o, ok := (*m)[name]
-		return o, ok
-	}
 	sh.mu.RLock()
 	o, ok := sh.live[name]
 	sh.mu.RUnlock()
@@ -115,7 +82,6 @@ func (c *homeContainer) add(name string, obj *core.Object) bool {
 	}
 	sh.live[name] = obj
 	c.count.Add(1)
-	sh.publishLocked()
 	return true
 }
 
@@ -131,7 +97,6 @@ func (c *homeContainer) put(name string, obj *core.Object) {
 		c.count.Add(1)
 	}
 	sh.live[name] = obj
-	sh.publishLocked()
 }
 
 // claim installs an arriving agent: a vacant name (or a previous
@@ -152,7 +117,6 @@ func (c *homeContainer) claim(name string, obj *core.Object) (conflict bool) {
 		c.count.Add(1)
 	}
 	sh.live[name] = obj
-	sh.publishLocked()
 	return false
 }
 
@@ -169,24 +133,17 @@ func (c *homeContainer) remove(name string, match *core.Object) bool {
 	}
 	delete(sh.live, name)
 	c.count.Add(-1)
-	sh.publishLocked()
 	return true
 }
 
 // len reports the container's member count.
 func (c *homeContainer) len() int { return int(c.count.Load()) }
 
-// names lists the members, sorted. Snapshot shards are read lock-free.
+// names lists the members, sorted.
 func (c *homeContainer) names() []string {
 	out := make([]string, 0, c.len())
 	for i := range c.shards {
 		sh := &c.shards[i]
-		if m := sh.snap.Load(); m != nil {
-			for n := range *m {
-				out = append(out, n)
-			}
-			continue
-		}
 		sh.mu.RLock()
 		for n := range sh.live {
 			out = append(out, n)
@@ -209,12 +166,6 @@ func (c *homeContainer) entries() []homeEntry {
 	out := make([]homeEntry, 0, c.len())
 	for i := range c.shards {
 		sh := &c.shards[i]
-		if m := sh.snap.Load(); m != nil {
-			for n, o := range *m {
-				out = append(out, homeEntry{n, o})
-			}
-			continue
-		}
 		sh.mu.RLock()
 		for n, o := range sh.live {
 			out = append(out, homeEntry{n, o})

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -179,15 +178,6 @@ type Site struct {
 	listener        transport.Listener
 	stopProbe       chan struct{} // closes to stop the background prober
 	closed          bool
-
-	// IOO container views are generation-stamped: refreshView claims a
-	// generation before reading a container, and viewMu/viewApplied let a
-	// publish proceed only when no newer generation has been applied — a
-	// refresh holding a stale snapshot can never overwrite a newer view
-	// (the lost-update race the old rebuild-under-contention had).
-	viewGen     [viewCount]atomic.Uint64
-	viewMu      sync.Mutex
-	viewApplied [viewCount]uint64
 
 	arrMu    sync.Mutex
 	arrivals map[string]*arrival // dedup table, by migration ID
@@ -445,32 +435,18 @@ func (s *Site) AddAPO(name string, obj *core.Object) error {
 		return fmt.Errorf("%w: APO %q", core.ErrExists, name)
 	}
 	s.host(obj)
-	if err := s.objects.Bind(name, obj.ID()); err != nil {
-		return err
-	}
-	s.refreshView(viewHome)
-	return nil
+	return s.objects.Bind(name, obj.ID())
 }
 
-// AddAPOs installs a batch of application objects, refreshing the IOO's
-// Home view once at the end instead of per member. AddAPO's per-install
-// refresh enumerates and sorts the whole container, so populating a large
-// site one call at a time is quadratic; bootstrap-scale loads (the 1e6
-// benchmark tier, restores) go through here. Installation stops at the
-// first duplicate name; members installed before it remain.
+// AddAPOs installs a batch of application objects (bootstrap-scale loads:
+// the 1e6 benchmark tier, restores). Installation stops at the first
+// duplicate name; members installed before it remain.
 func (s *Site) AddAPOs(apos map[string]*core.Object) error {
 	for name, obj := range apos {
-		if !s.home.add(name, obj) {
-			s.refreshView(viewHome)
-			return fmt.Errorf("%w: APO %q", core.ErrExists, name)
-		}
-		s.host(obj)
-		if err := s.objects.Bind(name, obj.ID()); err != nil {
-			s.refreshView(viewHome)
+		if err := s.AddAPO(name, obj); err != nil {
 			return err
 		}
 	}
-	s.refreshView(viewHome)
 	return nil
 }
 

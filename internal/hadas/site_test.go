@@ -147,7 +147,7 @@ func TestLinkHandshake(t *testing.T) {
 	if lvl := a.Policy().Level("osaka"); lvl != security.Trusted {
 		t.Errorf("trust of osaka at tokyo = %v", lvl)
 	}
-	// IOO vicinity view refreshed.
+	// IOO vicinity view reflects the link.
 	vic, _ := a.IOO().Get(a.IOO().Principal(), "vicinity")
 	if vic.String() != `["osaka"]` {
 		t.Errorf("vicinity = %v", vic)

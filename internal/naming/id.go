@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,6 +132,10 @@ type Registry struct {
 	mu     sync.RWMutex
 	byID   map[ID]any
 	byName map[string]ID
+	// names is the reverse of byName: the names bound to each ID, so
+	// Deregister (every agent departure) costs the object's own names, not
+	// every name at the site.
+	names map[ID][]string
 }
 
 // NewRegistry returns an empty registry.
@@ -138,6 +143,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		byID:   make(map[ID]any),
 		byName: make(map[string]ID),
+		names:  make(map[ID][]string),
 	}
 }
 
@@ -159,11 +165,10 @@ func (r *Registry) Deregister(id ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.byID, id)
-	for name, bound := range r.byName {
-		if bound == id {
-			delete(r.byName, name)
-		}
+	for _, name := range r.names[id] {
+		delete(r.byName, name)
 	}
+	delete(r.names, id)
 }
 
 // Bind gives id a human-readable name. Names are unique per site.
@@ -176,7 +181,7 @@ func (r *Registry) Bind(name string, id ID) error {
 	if _, ok := r.byID[id]; !ok {
 		return fmt.Errorf("%w: id %s not registered", ErrUnbound, id)
 	}
-	r.byName[name] = id
+	r.bindLocked(name, id)
 	return nil
 }
 
@@ -190,7 +195,7 @@ func (r *Registry) Rebind(name string, id ID) error {
 	if _, ok := r.byID[id]; !ok {
 		return fmt.Errorf("%w: id %s not registered", ErrUnbound, id)
 	}
-	r.byName[name] = id
+	r.bindLocked(name, id)
 	return nil
 }
 
@@ -198,7 +203,24 @@ func (r *Registry) Rebind(name string, id ID) error {
 func (r *Registry) Unbind(name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.byName, name)
+	if id, ok := r.byName[name]; ok {
+		delete(r.byName, name)
+		r.names[id] = slices.DeleteFunc(r.names[id], func(n string) bool { return n == name })
+	}
+}
+
+// bindLocked points name at id, moving it off any previous ID's name list.
+// Callers hold r.mu for writing.
+func (r *Registry) bindLocked(name string, id ID) {
+	prev, bound := r.byName[name]
+	if bound && prev == id {
+		return
+	}
+	if bound {
+		r.names[prev] = slices.DeleteFunc(r.names[prev], func(n string) bool { return n == name })
+	}
+	r.byName[name] = id
+	r.names[id] = append(r.names[id], name)
 }
 
 // LookupID returns the object registered under id.
