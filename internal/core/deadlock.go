@@ -7,28 +7,29 @@ import (
 	"time"
 )
 
-// Distributed deadlock detection over Serialized admissions, in the
-// edge-chasing style of Chandy–Misra–Haas: the in-process waits-for graph
-// (serialize.go) sees every blocked edge inside one process, but a cycle
-// that closes through a remote site is invisible to both halves. To catch
-// those, every call chain gets a globally unique identity ("site:seq"),
-// the identity travels on every wire invoke frame, and a per-site Detector
-// tracks three registries the local graph cannot express:
+// Deadlock detection over Serialized admissions, in the edge-chasing
+// style of Chandy–Misra–Haas. The in-process waits-for graph is intrusive
+// (serialize.go): Object.holder and callChain.wait are its edges. A cycle
+// that closes through a remote site is invisible to one process, so every
+// call chain gets a globally unique identity ("site:seq"), the identity
+// travels on every wire invoke frame, and a per-site Detector tracks two
+// registries the in-process edges cannot express:
 //
 //   - chains:   every chain identity known at this site (minted locally,
 //               or adopted because a remote invocation carried it in),
 //   - outbound: chains currently inside a remote call to a peer — the
-//               *remote edge* of the waits-for graph,
-//   - blocked:  chains currently blocked on a local admission, each with
-//               an abort channel the probe machinery can fire.
+//               *remote edge* of the waits-for graph.
 //
 // When a chain blocks, the detector chases the wait→holder edges locally;
 // if the walk ends at a chain that is off inside a remote call, the probe
 // (initiator, target, path) is forwarded to that peer, which continues the
-// chase through its own graph. A probe arriving back at a chain whose
-// identity equals the initiator proves a cycle; the deterministic victim
-// (lowest chain identity on the cycle) is aborted with ErrDeadlock naming
-// the full cross-site cycle — long before any AdmissionTimeout backstop.
+// chase through its own graph. A walk arriving back at a chain whose
+// identity equals the initiator proves a cycle — with zero hops when the
+// cycle is local, so local and remote cycles share one walk and one victim
+// rule: the lowest chain identity on the cycle is aborted with ErrDeadlock
+// naming the full cycle, long before any AdmissionTimeout backstop.
+// Objects hosted by no site use a process-default detector, which records
+// no remote edges and so never forwards.
 //
 // Hygiene: probes carry a TTL (site hops) and a path cap, duplicate
 // (initiator, target) forwards are suppressed within a short window, and a
@@ -50,6 +51,11 @@ const (
 	// probeDedupWindow suppresses identical (initiator, target) forwards
 	// arriving within this window, bounding probe storms under re-probing.
 	probeDedupWindow = 50 * time.Millisecond
+	// maxProbeSeen caps the dedup table, whose keys arrive from peers. A
+	// full table sheds expired entries and then arbitrary ones down to
+	// half the cap, so pruning costs O(1) per probe amortised; a shed
+	// entry only lets one duplicate probe through.
+	maxProbeSeen = 1024
 )
 
 // ProbeStep is one wait→holder edge of the chased path, in wire-portable
@@ -99,13 +105,12 @@ type Detector struct {
 	mu       sync.Mutex
 	chains   map[string]*chainEntry
 	outbound map[*callChain]*outboundEdge
-	blocked  map[*callChain]*blockedWait
 	seen     map[probeKey]time.Time
 }
 
 // chainEntry refcounts a chain identity's liveness at this site: one ref
-// for a locally minted chain until its top-level invocation completes,
-// plus one per active adoption by an incoming remote invocation. At zero
+// for a locally minted chain until the admission that minted it is
+// released, plus one per active adoption by an incoming remote invocation. At zero
 // the entry is dropped, and any later probe naming the identity dead-ends.
 type chainEntry struct {
 	ch   *callChain
@@ -119,7 +124,8 @@ type outboundEdge struct {
 	n    int
 }
 
-// blockedWait is one blocked admission the probe machinery may abort.
+// blockedWait is a blocked chain's wait edge (callChain.wait): the object
+// whose admission it awaits, and the abort the probe machinery may fire.
 type blockedWait struct {
 	obj   *Object
 	abort chan string // cap 1: receives the cycle description
@@ -131,17 +137,26 @@ type probeKey struct {
 	target    string
 }
 
-// NewDetector creates the per-site detector. fwd carries probes to peers.
+// NewDetector creates the per-site detector. fwd carries probes to peers;
+// a detector without one never forwards.
 func NewDetector(site string, fwd ProbeForwarder) *Detector {
 	return &Detector{
 		site:     site,
 		fwd:      fwd,
 		chains:   make(map[string]*chainEntry),
 		outbound: make(map[*callChain]*outboundEdge),
-		blocked:  make(map[*callChain]*blockedWait),
 		seen:     make(map[probeKey]time.Time),
 	}
 }
+
+// defaultDetector chases waits on objects hosted by no site. It has no
+// peers, so its chases are zero-hop; its empty site name gives the
+// identities it mints the empty origin (":seq").
+var defaultDetector = NewDetector("", nil)
+
+// DefaultDetector returns the process-wide detector for objects hosted by
+// no site.
+func DefaultDetector() *Detector { return defaultDetector }
 
 // Site returns the detector's site name (the origin stamped on minted
 // chain identities).
@@ -163,7 +178,6 @@ func (c *callChain) ensureGID(site string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gid == "" {
-		c.origin = site
 		c.gid = site + ":" + strconv.FormatUint(c.id, 10)
 	}
 	return c.gid
@@ -193,14 +207,15 @@ func (c *callChain) addReg(d *Detector) {
 }
 
 // completeLocal releases the chain's liveness ref in every detector that
-// registered it. Called once, by the frame that created the chain.
+// registered it: once the admission that minted the chain is released, or
+// once the last adoption of a remote chain's incarnation ends.
 func (c *callChain) completeLocal() {
 	c.mu.Lock()
 	regs := c.regs
 	c.regs = nil
 	c.mu.Unlock()
 	for _, d := range regs {
-		d.unregister(c)
+		d.release(c)
 	}
 }
 
@@ -220,20 +235,6 @@ func (d *Detector) register(ch *callChain) string {
 		ch.addReg(d)
 	}
 	return gid
-}
-
-// unregister drops one liveness ref (see chainEntry).
-func (d *Detector) unregister(ch *callChain) {
-	gid := ch.GID()
-	d.mu.Lock()
-	if e := d.chains[gid]; e != nil && e.ch == ch {
-		e.refs--
-		if e.refs <= 0 {
-			delete(d.chains, gid)
-			delete(d.outbound, ch)
-		}
-	}
-	d.mu.Unlock()
 }
 
 // AdoptedChain is a remote chain identity bound to this site for the
@@ -257,26 +258,36 @@ func (d *Detector) Adopt(gid string) (*AdoptedChain, func()) {
 	d.mu.Lock()
 	e := d.chains[gid]
 	if e == nil {
-		origin, seq := parseGID(gid)
-		e = &chainEntry{ch: &callChain{id: seq, origin: origin, gid: gid, entry: "remote"}}
+		_, seq := parseGID(gid)
+		e = &chainEntry{ch: &callChain{id: seq, gid: gid, entry: "remote"}}
 		d.chains[gid] = e
 	}
 	e.refs++
 	ch := e.ch
 	d.mu.Unlock()
-	return &AdoptedChain{ch: ch}, func() { d.release(gid, ch) }
+	return &AdoptedChain{ch: ch}, func() { d.release(ch) }
 }
 
-func (d *Detector) release(gid string, ch *callChain) {
+// release drops one liveness ref (see chainEntry). The entry's last ref
+// ends the chain here, and with it any registrations it made elsewhere —
+// an adopted incarnation that blocked on a site-less object registered
+// with the default detector.
+func (d *Detector) release(ch *callChain) {
+	gid := ch.GID()
+	ended := false
 	d.mu.Lock()
 	if e := d.chains[gid]; e != nil && e.ch == ch {
 		e.refs--
 		if e.refs <= 0 {
 			delete(d.chains, gid)
 			delete(d.outbound, ch)
+			ended = true
 		}
 	}
 	d.mu.Unlock()
+	if ended {
+		ch.completeLocal()
+	}
 }
 
 // parseGID splits "origin:seq"; a malformed identity orders as
@@ -337,7 +348,8 @@ func (inv *Invocation) BeginRemoteCall(d *Detector, peer string) (string, func()
 	}
 }
 
-// detector finds the deadlock detector of the object's site, if any.
+// detector finds the deadlock detector of the object's site, or the
+// process default for an object hosted by no site.
 func (o *Object) detector() *Detector {
 	o.mu.Lock()
 	r := o.resolver
@@ -345,13 +357,13 @@ func (o *Object) detector() *Detector {
 	if h, ok := r.(DetectorHost); ok {
 		return h.DeadlockDetector()
 	}
-	return nil
+	return defaultDetector
 }
 
-// blockBegin registers ch as blocked on o's admission and starts the
+// blockBegin publishes ch's wait edge on o's admission and starts the
 // edge chase (immediately, then at reprobeInterval while still blocked).
 // It returns the abort channel admit selects on, and the end function that
-// withdraws the registration once the wait resolves either way.
+// withdraws the edge once the wait resolves either way.
 func (d *Detector) blockBegin(ch *callChain, o *Object) (<-chan string, func()) {
 	d.register(ch)
 	bw := &blockedWait{
@@ -359,18 +371,18 @@ func (d *Detector) blockBegin(ch *callChain, o *Object) (<-chan string, func()) 
 		abort: make(chan string, 1),
 		done:  make(chan struct{}),
 	}
-	d.mu.Lock()
-	d.blocked[ch] = bw
-	d.mu.Unlock()
+	graphMu.Lock()
+	ch.wait = bw
+	graphMu.Unlock()
 	go d.reprobe(ch, bw)
 	var once sync.Once
 	return bw.abort, func() {
 		once.Do(func() {
-			d.mu.Lock()
-			if d.blocked[ch] == bw {
-				delete(d.blocked, ch)
+			graphMu.Lock()
+			if ch.wait == bw {
+				ch.wait = nil
 			}
-			d.mu.Unlock()
+			graphMu.Unlock()
 			close(bw.done)
 		})
 	}
@@ -379,26 +391,15 @@ func (d *Detector) blockBegin(ch *callChain, o *Object) (<-chan string, func()) 
 // reprobe chases on block and keeps re-chasing while the wait lasts —
 // the retry that makes detection robust to lost probes and edge races.
 func (d *Detector) reprobe(ch *callChain, bw *blockedWait) {
+	gid := ch.GID()
 	for {
-		d.chase(ch)
+		d.act(gid, d.walk(gid, ch, nil), DefaultProbeTTL)
 		select {
 		case <-bw.done:
 			return
 		case <-time.After(reprobeInterval):
 		}
 	}
-}
-
-// chase runs one edge chase starting from a locally blocked chain.
-func (d *Detector) chase(ch *callChain) {
-	d.mu.Lock()
-	_, stillBlocked := d.blocked[ch]
-	d.mu.Unlock()
-	if !stillBlocked {
-		return
-	}
-	gid := ch.GID()
-	d.act(gid, d.walk(gid, ch, nil), DefaultProbeTTL)
 }
 
 // HandleProbe continues a chase arriving from a peer: locate the target
@@ -417,14 +418,14 @@ func (d *Detector) HandleProbe(p Probe) Verdict {
 		d.mu.Unlock()
 		return Verdict{}
 	}
-	d.seen[key] = now
-	if len(d.seen) > 1024 {
+	if len(d.seen) >= maxProbeSeen {
 		for k, t := range d.seen {
-			if now.Sub(t) >= probeDedupWindow {
+			if now.Sub(t) >= probeDedupWindow || len(d.seen) > maxProbeSeen/2 {
 				delete(d.seen, k)
 			}
 		}
 	}
+	d.seen[key] = now
 	e := d.chains[p.Target]
 	d.mu.Unlock()
 	if e == nil {
@@ -443,20 +444,23 @@ type walkResult struct {
 	path      []ProbeStep
 }
 
-// walk follows wait→holder edges from start under a consistent snapshot of
-// the local graph, extending path. Lock order: waitsFor.mu, then d.mu
-// (chain mutexes are only taken leaf-wise via GID()).
+// walk follows wait→holder edges from start, extending path. It holds
+// graphMu throughout, so no edge it reads is a phantom: a chain with a
+// wait edge stays blocked for the whole walk and cannot release what it
+// holds, and a chain that won its admission swapped its wait edge for the
+// holder edge in one step under graphMu. Every edge of a cycle the walk
+// closes is therefore real at once. Lock order: graphMu, then d.mu (chain
+// mutexes are only taken leaf-wise via GID()).
 func (d *Detector) walk(initiator string, start *callChain, path []ProbeStep) walkResult {
 	steps := append([]ProbeStep(nil), path...)
-	waitsFor.mu.Lock()
+	graphMu.Lock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	defer waitsFor.mu.Unlock()
+	defer graphMu.Unlock()
 
 	cur := start
 	for len(steps) <= maxProbePath {
-		obj := waitsFor.waiting[cur]
-		if obj == nil {
+		if cur.wait == nil {
 			// Not blocked here: the chain is either running (dead end) or
 			// off inside a remote call — the edge the probe must chase.
 			if oe := d.outbound[cur]; oe != nil {
@@ -464,7 +468,8 @@ func (d *Detector) walk(initiator string, start *callChain, path []ProbeStep) wa
 			}
 			return walkResult{}
 		}
-		holder := waitsFor.holder[obj]
+		obj := cur.wait.obj
+		holder := obj.holder.Load()
 		if holder == nil {
 			return walkResult{} // slot in hand-off; a reprobe will re-check
 		}
@@ -501,7 +506,7 @@ func (d *Detector) act(initiator string, res walkResult, ttl int) Verdict {
 		d.abortIfBlocked(v)
 		return v
 	}
-	if res.fwdPeer == "" || ttl <= 0 {
+	if res.fwdPeer == "" || ttl <= 0 || d.fwd == nil {
 		return Verdict{}
 	}
 	v, err := d.fwd.ForwardProbe(res.fwdPeer, Probe{
@@ -521,13 +526,15 @@ func (d *Detector) act(initiator string, res walkResult, ttl int) Verdict {
 // currently blocked at this site on the very object the cycle names —
 // the guard that makes stale verdicts harmless to live chains.
 func (d *Detector) abortIfBlocked(v Verdict) bool {
+	graphMu.Lock()
+	defer graphMu.Unlock()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	e := d.chains[v.Victim]
+	d.mu.Unlock()
 	if e == nil {
 		return false
 	}
-	bw := d.blocked[e.ch]
+	bw := e.ch.wait
 	if bw == nil || objLabel(bw.obj) != v.VictimObj {
 		return false
 	}
@@ -549,12 +556,20 @@ func chooseVictim(cycle []ProbeStep) string {
 	return victim
 }
 
-// describeCycle renders the full cross-site cycle for the victim's error.
+// describeCycle renders the full cycle for the victim's error.
 func describeCycle(cycle []ProbeStep) string {
+	kind := "cycle: "
 	parts := make([]string, len(cycle))
 	for i, s := range cycle {
-		parts[i] = "chain " + s.Chain + " at " + s.Site +
+		if s.Site != cycle[0].Site {
+			kind = "cross-site cycle: "
+		}
+		at := ""
+		if s.Site != "" {
+			at = " at " + s.Site
+		}
+		parts[i] = "chain " + s.Chain + at +
 			" waits for " + s.Object + " held by chain " + s.Holder
 	}
-	return "cross-site cycle: " + strings.Join(parts, "; ")
+	return kind + strings.Join(parts, "; ")
 }

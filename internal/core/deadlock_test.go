@@ -50,21 +50,6 @@ func (m *meshForwarder) ForwardProbe(peer string, p Probe) (Verdict, error) {
 	return d.HandleProbe(p), nil
 }
 
-// cleanWaits removes every waits-for edge the test fabricated; the graph
-// is process-global, so leaked edges would poison unrelated tests.
-func cleanWaits(t *testing.T, chains []*callChain, objs []*Object) {
-	t.Cleanup(func() {
-		waitsFor.mu.Lock()
-		defer waitsFor.mu.Unlock()
-		for _, c := range chains {
-			delete(waitsFor.waiting, c)
-		}
-		for _, o := range objs {
-			delete(waitsFor.holder, o)
-		}
-	})
-}
-
 func TestGIDOrderDeterministic(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -140,6 +125,30 @@ func TestProbeHygieneCaps(t *testing.T) {
 	}
 	if v := d.HandleProbe(Probe{Initiator: "dup:1", Target: "far:1", TTL: 8}); v != (Verdict{}) {
 		t.Errorf("duplicate inside dedup window = %+v, want zero", v)
+	}
+}
+
+// TestProbeSeenTableBounded: the dedup table's keys come from peers, so a
+// flood of unique (initiator, target) probes — all inside the dedup
+// window, so none has expired — must never grow it past maxProbeSeen.
+func TestProbeSeenTableBounded(t *testing.T) {
+	d := newMesh().add("here")
+	peak := 0
+	for i := 0; i < 8*maxProbeSeen; i++ {
+		d.HandleProbe(Probe{Initiator: fmt.Sprintf("flood:%d", i), Target: "gone:1", TTL: 4})
+		d.mu.Lock()
+		peak = max(peak, len(d.seen))
+		d.mu.Unlock()
+	}
+	if peak > maxProbeSeen {
+		t.Errorf("dedup table peaked at %d entries, cap %d", peak, maxProbeSeen)
+	}
+	// Shedding never drops the probe just recorded.
+	d.mu.Lock()
+	_, kept := d.seen[probeKey{initiator: fmt.Sprintf("flood:%d", 8*maxProbeSeen-1), target: "gone:1"}]
+	d.mu.Unlock()
+	if !kept {
+		t.Error("the most recent probe was shed from the dedup table")
 	}
 }
 
@@ -222,13 +231,8 @@ func TestTwoSiteEdgeChase(t *testing.T) {
 	incB, releaseB := da.Adopt(gidB) // chain B arrived at siteA
 	defer releaseB()
 
-	waitsFor.mu.Lock()
-	waitsFor.holder[lockA] = chainA
-	waitsFor.holder[lockB] = chainB
-	waitsFor.waiting[incA.ch] = lockB
-	waitsFor.waiting[incB.ch] = lockA
-	waitsFor.mu.Unlock()
-	cleanWaits(t, []*callChain{incA.ch, incB.ch}, []*Object{lockA, lockB})
+	lockA.holder.Store(chainA)
+	lockB.holder.Store(chainB)
 
 	abortA, endA := db.blockBegin(incA.ch, lockB)
 	defer endA()
@@ -265,8 +269,6 @@ func TestSevenSiteRingRespectsCaps(t *testing.T) {
 		dets[i] = mesh.add(fmt.Sprintf("ring%d", i))
 	}
 
-	var chains []*callChain
-	var objs []*Object
 	// At site i: chain r<i> waits for obj<i>, held by chain r<i+1>, which
 	// is off inside a remote call to site i+1 — a forwarding loop with no
 	// cycle for an outside initiator.
@@ -283,17 +285,12 @@ func TestSevenSiteRingRespectsCaps(t *testing.T) {
 			WithPolicy(allowAllPolicy()), Serialized()).MustBuild()
 		holder, releaseH := dets[i].Adopt(fmt.Sprintf("ringchain:%d", next))
 		defer releaseH()
-		waitsFor.mu.Lock()
-		waitsFor.waiting[incs[i]] = obj
-		waitsFor.holder[obj] = holder.ch
-		waitsFor.mu.Unlock()
+		incs[i].wait = &blockedWait{obj: obj}
+		obj.holder.Store(holder.ch)
 		dets[i].mu.Lock()
 		dets[i].outbound[holder.ch] = &outboundEdge{peer: fmt.Sprintf("ring%d", next), n: 1}
 		dets[i].mu.Unlock()
-		chains = append(chains, incs[i], holder.ch)
-		objs = append(objs, obj)
 	}
-	cleanWaits(t, chains, objs)
 
 	v := dets[0].HandleProbe(Probe{Initiator: "outsider:1", Target: "ringchain:0", TTL: DefaultProbeTTL})
 	if v != (Verdict{}) {
@@ -356,5 +353,163 @@ func TestAdmissionTimeoutNamesBothSides(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("timeout diagnostics missing %q: %s", want, msg)
 		}
+	}
+}
+
+// shapeHost hosts shape objects at a detector's site (Resolver plus
+// DetectorHost), so their blocked admissions are chased by that detector.
+type shapeHost struct{ d *Detector }
+
+func (h shapeHost) ResolveObject(name string) (*Object, error) { return nil, ErrNotFound }
+func (h shapeHost) SiteName() string                           { return h.d.Site() }
+func (h shapeHost) DeadlockDetector() *Detector                { return h.d }
+
+// blockedAt reports whether the chain known to d as gid is blocked on an
+// admission.
+func blockedAt(d *Detector, gid string) bool {
+	d.mu.Lock()
+	e := d.chains[gid]
+	d.mu.Unlock()
+	if e == nil {
+		return false
+	}
+	graphMu.Lock()
+	defer graphMu.Unlock()
+	return e.ch.wait != nil
+}
+
+// TestCycleShapeContract pins the one victim rule over every waits-for
+// shape the detector resolves. Row k's chain k enters its own Serialized
+// object, then — once every chain holds — crosses into the next chain's
+// object (directly, through the row's intermediate object, or over a
+// simulated remote call when the two objects live at different sites).
+// Chains are minted in row order and the last chain's crossing closes the
+// cycle, so the expected victim — the lowest identity by gidLess — is
+// chain 0, never the closing arrival. Each row asserts exactly that many
+// aborts: one on the named victim, none elsewhere.
+func TestCycleShapeContract(t *testing.T) {
+	rows := []struct {
+		name   string
+		sites  []string // host site of each chain's object; "" = site-less
+		via    string   // "", "plain" or "serialized" intermediate object
+		victim int      // index of the aborted chain; -1 = none
+	}{
+		{"local 2-cycle", []string{"siteA", "siteA"}, "", 0},
+		{"local 3-cycle", []string{"siteA", "siteA", "siteA"}, "", 0},
+		{"cycle through a plain object", []string{"siteA", "siteA"}, "plain", 0},
+		{"site-less objects", []string{"", ""}, "", 0},
+		{"two-site cycle over meshForwarder", []string{"siteA", "siteB"}, "", 0},
+		{"re-entry A→B→A on one chain", []string{"siteA"}, "serialized", -1},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			mesh := newMesh()
+			dets := map[string]*Detector{}
+			n := len(row.sites)
+			objs := make([]*Object, n)
+			chains := make([]*callChain, n)
+			held := make([]chan struct{}, n)
+			cross := make([]chan struct{}, n)
+			var viaObj *Object
+			if row.via != "" {
+				opts := []BuildOption{WithPolicy(allowAllPolicy())}
+				if row.via == "serialized" {
+					opts = append(opts, Serialized())
+				}
+				vb := NewBuilder(gen, "Via", opts...)
+				vb.FixedMethod("pass", NewNativeBody("shape.pass", func(inv *Invocation, args []value.Value) (value.Value, error) {
+					k, _ := args[0].Int()
+					return inv.InvokeOn(objs[k], "leaf")
+				}))
+				viaObj = vb.MustBuild()
+			}
+			for k, site := range row.sites {
+				held[k], cross[k] = make(chan struct{}), make(chan struct{})
+				opts := []BuildOption{WithPolicy(allowAllPolicy()), Serialized(),
+					AdmissionTimeout(30 * time.Second)}
+				if site != "" {
+					if dets[site] == nil {
+						dets[site] = mesh.add(site)
+					}
+					opts = append(opts, WithResolver(shapeHost{dets[site]}))
+				}
+				b := NewBuilder(gen, fmt.Sprintf("Shape%d", k), opts...)
+				b.FixedScriptMethod("leaf", `fn() { return "leaf"; }`)
+				b.FixedMethod("start", NewNativeBody("shape.start", func(inv *Invocation, _ []value.Value) (value.Value, error) {
+					chains[k] = inv.chain
+					close(held[k])
+					<-cross[k]
+					next := (k + 1) % n
+					switch peer := row.sites[next]; {
+					case peer != site:
+						gid, done := inv.BeginRemoteCall(dets[site], peer)
+						defer done()
+						ac, release := dets[peer].Adopt(gid)
+						defer release()
+						return objs[next].InvokeWithChain(inv.Self().Principal(), ac, "leaf")
+					case viaObj != nil:
+						return inv.InvokeOn(viaObj, "pass", value.NewInt(int64(next)))
+					default:
+						return inv.InvokeOn(objs[next], "leaf")
+					}
+				}))
+				objs[k] = b.MustBuild()
+			}
+
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for k := range objs {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					_, errs[k] = objs[k].Invoke(stranger(), "start")
+				}(k)
+				<-held[k] // chain k is minted (and holds) before chain k+1
+			}
+			for k := range objs {
+				close(cross[k])
+				if k == n-1 {
+					break // the last crossing closes the cycle
+				}
+				next := objs[(k+1)%n]
+				deadline := time.Now().Add(5 * time.Second)
+				for !blockedAt(next.detector(), chains[k].GID()) {
+					if time.Now().After(deadline) {
+						t.Fatalf("chain %d never blocked on %s", k, objLabel(next))
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			finished := make(chan struct{})
+			go func() { wg.Wait(); close(finished) }()
+			select {
+			case <-finished:
+			case <-time.After(10 * time.Second):
+				t.Fatal("shape never resolved")
+			}
+
+			lowest := 0
+			for k := range chains {
+				if gidLess(chains[k].GID(), chains[lowest].GID()) {
+					lowest = k
+				}
+			}
+			if row.victim >= 0 && lowest != row.victim {
+				t.Fatalf("gidLess names chain %d as lowest, row expects %d", lowest, row.victim)
+			}
+			aborts := 0
+			for k, err := range errs {
+				switch {
+				case err == nil:
+				case errors.Is(err, ErrDeadlock) && k == row.victim:
+					aborts++
+				default:
+					t.Errorf("chain %d: %v", k, err)
+				}
+			}
+			if want := min(1, row.victim+1); aborts != want {
+				t.Errorf("aborts = %d, want %d (victim %d): %v", aborts, want, row.victim, errs)
+			}
+		})
 	}
 }

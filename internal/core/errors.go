@@ -39,10 +39,11 @@ var (
 	ErrUnknownBehavior = errors.New("unknown native behavior")
 	// ErrDeadlock reports a cross-chain admission cycle between Serialized
 	// objects (A→B while B→A); the error names the chains and objects on
-	// the cycle. The failing chain's abort unblocks the others.
+	// the cycle. It fails the chain with the lowest identity on the
+	// cycle, whose abort unblocks the others.
 	ErrDeadlock = errors.New("serialized admission deadlock")
 	// ErrAdmissionTimeout reports an admission wait on a Serialized object
-	// exceeding its timeout — the backstop for blockages the waits-for
-	// graph cannot attribute (e.g. cycles closed through a remote site).
+	// exceeding its timeout — the backstop for blockages no deadlock probe
+	// can attribute (a stuck holder, or a peer lost mid-chase).
 	ErrAdmissionTimeout = errors.New("serialized admission timed out")
 )

@@ -28,7 +28,7 @@ type Invocation struct {
 	method string
 	level  int
 	depth  int
-	chain  *callChain    // admissions to Serialized objects held by this call chain
+	chain  *callChain    // call chain this frame runs on; nil until a Serialized admission mints one
 	argbuf []value.Value // pooled scratch holding this frame's argument copies
 }
 
@@ -184,13 +184,6 @@ func (o *Object) invokeChained(caller security.Principal, chain *callChain, name
 
 	inv := getInvocation(o, caller, "", 0, 0, chain)
 	v, err := o.invokeFrom(inv, name, inv.captureArgs(args))
-	// A chain minted inside this call (first serialized admission) dies with
-	// it: drop its detector registrations so stale probes naming it dead-end.
-	// An adopted chain (chain != nil) outlives the call — its site handler
-	// owns the release.
-	if chain == nil && inv.chain != nil {
-		inv.chain.completeLocal()
-	}
 	putInvocation(inv)
 	return v, err
 }

@@ -55,9 +55,12 @@ type Object struct {
 	metaHidden bool
 
 	// admission, when non-nil, serializes external invocations;
-	// admitTimeout bounds waits for the slot (see serialize.go).
+	// admitTimeout bounds waits for the slot, and holder is the chain
+	// admitted — the object's edge of the waits-for graph (see
+	// serialize.go).
 	admission    chan struct{}
 	admitTimeout time.Duration
+	holder       atomic.Pointer[callChain]
 
 	handles   map[string]any // handle token → *DataItem or *Method
 	handleSeq int

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,15 +24,19 @@ import (
 // skipped that queue and let B's bodies interleave.
 //
 // Two chains that hold each other's objects and then cross (A→B while
-// B→A) used to block forever, exactly as two actors awaiting each other
-// would. That condition is now diagnosed instead of suffered: every
-// blocked admission publishes a waits-for edge in a process-wide graph,
-// and the arrival that closes a cycle fails immediately with ErrDeadlock
-// naming every chain and object on the cycle — the victim's abort releases
-// its admissions, so the surviving chains proceed. Cycles the graph cannot
-// see (e.g. closed through a remote site, where the chain identity does
-// not travel) are caught by a per-object admission timeout, returning
-// ErrAdmissionTimeout as the backstop.
+// B→A) would block forever, exactly as two actors awaiting each other
+// would. That condition is diagnosed instead of suffered. The waits-for
+// graph is intrusive: each admitted object points at its holding chain
+// (Object.holder), each blocked chain at the admission it waits for
+// (callChain.wait). A blocked chain is chased by the deadlock detector of
+// the object's site (deadlock.go; site-less objects use the process
+// default): a cycle inside the process is a zero-hop probe, a cycle
+// through a remote call is chased over the wire, and either way the
+// lowest chain identity on the cycle fails with ErrDeadlock naming every
+// chain and object on it — its abort releases its admissions, so the
+// surviving chains proceed. A per-object admission timeout, failing
+// ErrAdmissionTimeout, is the backstop for blockages no probe can
+// attribute (a holder that is simply stuck, or a lost peer).
 //
 // Structural operations remain guarded by the object's internal lock
 // regardless, so Serialized() is about *method bodies*, not about memory
@@ -64,20 +67,27 @@ func AdmissionTimeout(d time.Duration) BuildOption {
 // chainSeq numbers call chains for diagnostics.
 var chainSeq atomic.Uint64
 
-// callChain records which serialized objects the current invocation chain
-// has been admitted to. It propagates through every child Invocation, so
-// re-entry is recognized no matter how many objects the chain traversed in
-// between. Only the chain's own goroutine touches it during a call, but
-// bodies may hand work to helper goroutines that call back in — the small
-// mutex keeps that safe.
+// graphMu guards every chain's wait edge. It is taken only off the
+// uncontended path: when a chain blocks, when its wait resolves, and for
+// the whole of a detector walk. A contended acquire swaps its wait edge
+// for the object's holder edge under graphMu, so a walk never sees a
+// chain both waiting for and holding the same admission. Lock order:
+// graphMu, then Detector.mu.
+var graphMu sync.Mutex
+
+// callChain is one invocation chain's identity across the serialized
+// objects it enters. It propagates through every child Invocation, so
+// re-entry (Object.holder == chain) is recognized no matter how many
+// objects the chain traversed in between. Bodies may hand work to helper
+// goroutines that call back in — the small mutex keeps the lazily minted
+// identity and the detector registrations safe.
 type callChain struct {
-	id     uint64
-	entry  string // "<class>.<method>" of the chain's first serialized entry
-	mu     sync.Mutex
-	held   []*Object
-	origin string      // site that minted the global identity ("" until minted)
-	gid    string      // global identity "origin:id", minted lazily (deadlock.go)
-	regs   []*Detector // detectors holding a liveness ref on this chain
+	id    uint64
+	entry string       // "<class>.<method>" of the chain's first serialized entry
+	wait  *blockedWait // admission the chain is blocked on; guarded by graphMu
+	mu    sync.Mutex
+	gid   string      // global identity "origin:id", minted lazily (deadlock.go)
+	regs  []*Detector // detectors holding a liveness ref on this chain
 }
 
 func newCallChain(o *Object, method string) *callChain {
@@ -92,144 +102,65 @@ func (c *callChain) label() string {
 	return fmt.Sprintf("chain#%d[%s]", c.id, c.entry)
 }
 
-func (c *callChain) holds(o *Object) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, h := range c.held {
-		if h == o {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *callChain) push(o *Object) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.held = append(c.held, o)
-}
-
-func (c *callChain) drop(o *Object) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.held) - 1; i >= 0; i-- {
-		if c.held[i] == o {
-			c.held = append(c.held[:i], c.held[i+1:]...)
-			return
-		}
-	}
-}
-
-// waitsFor is the process-wide waits-for graph over serialized admissions:
-// holder maps each serialized object to the chain currently admitted,
-// waiting maps each blocked chain to the object it waits on. Edges exist
-// only while chains hold or await admissions, so the maps stay small; a
-// single mutex guards both because cycle detection needs a consistent
-// snapshot of the whole graph.
-var waitsFor = struct {
-	mu      sync.Mutex
-	holder  map[*Object]*callChain
-	waiting map[*callChain]*Object
-}{
-	holder:  make(map[*Object]*callChain),
-	waiting: make(map[*callChain]*Object),
-}
-
 // objLabel identifies an object in deadlock diagnostics.
 func objLabel(o *Object) string {
 	return fmt.Sprintf("%s<%s>", o.class, o.id)
 }
 
-// publishWait records chain→o in the waits-for graph, unless doing so
-// closes a cycle — then nothing is recorded and the cycle's description
-// (naming every chain and object on it) is returned.
-func publishWait(chain *callChain, o *Object) string {
-	w := &waitsFor
-	w.mu.Lock()
-	defer w.mu.Unlock()
-
-	var path []string
-	obj, cur := o, w.holder[o]
-	for i := 0; cur != nil && i < 64; i++ {
-		path = append(path, fmt.Sprintf("%s held by %s", objLabel(obj), cur.label()))
-		if cur == chain {
-			return fmt.Sprintf("%s waits for %s", chain.label(), strings.Join(path, "; that chain waits for "))
-		}
-		obj = w.waiting[cur]
-		if obj == nil {
-			break
-		}
-		cur = w.holder[obj]
-	}
-	w.waiting[chain] = o
-	return ""
-}
-
-// unpublishWait withdraws a blocked chain's edge (timeout abort).
-func unpublishWait(chain *callChain) {
-	waitsFor.mu.Lock()
-	delete(waitsFor.waiting, chain)
-	waitsFor.mu.Unlock()
-}
-
-// acquired records the chain as o's holder and clears its waiting edge.
-func (c *callChain) acquired(o *Object) {
-	waitsFor.mu.Lock()
-	waitsFor.holder[o] = c
-	delete(waitsFor.waiting, c)
-	waitsFor.mu.Unlock()
-	c.push(o)
-}
-
-// released clears the holder edge before freeing the slot, so no waiter
-// can observe a stale holder once the slot is grantable again.
-func (c *callChain) released(o *Object) {
-	c.drop(o)
-	waitsFor.mu.Lock()
-	if waitsFor.holder[o] == c {
-		delete(waitsFor.holder, o)
-	}
-	waitsFor.mu.Unlock()
+// releaseAdmission clears the holder edge before freeing the slot, so no
+// waiter can observe a stale holder once the slot is grantable again.
+func (o *Object) releaseAdmission() {
+	o.holder.Store(nil)
 	<-o.admission
 }
 
 // admit acquires the admission slot unless this call chain already holds
 // it; it returns a release function (no-op for non-serialized objects and
-// re-entries). A blocked admission that would close a waits-for cycle
-// fails ErrDeadlock; one that outlasts the object's admission timeout
-// fails ErrAdmissionTimeout.
+// re-entries). A chain minted by this admission ends with it: its
+// detector registrations go when the release runs, or at once if the
+// admission fails. A blocked admission whose waits-for cycle picks this
+// chain as the victim fails ErrDeadlock; one that outlasts the object's
+// admission timeout fails ErrAdmissionTimeout.
 func (o *Object) admit(inv *Invocation, method string) (func(), error) {
 	if o.admission == nil {
 		return func() {}, nil
 	}
-	if inv.chain == nil {
-		inv.chain = newCallChain(o, method)
-	} else if inv.chain.holds(o) {
+	chain, minted := inv.chain, inv.chain == nil
+	if minted {
+		chain = newCallChain(o, method)
+		inv.chain = chain
+	} else if o.holder.Load() == chain {
 		return func() {}, nil
 	}
-	chain := inv.chain
 
-	// Uncontended: take the slot without touching the graph's hot path.
+	// Uncontended: take the slot without touching the graph lock.
 	select {
 	case o.admission <- struct{}{}:
-		chain.acquired(o)
-		return func() { chain.released(o) }, nil
+		o.holder.Store(chain)
 	default:
+		if err := o.await(chain); err != nil {
+			if minted {
+				chain.completeLocal()
+			}
+			return nil, err
+		}
 	}
+	if minted {
+		return func() {
+			o.releaseAdmission()
+			chain.completeLocal()
+		}, nil
+	}
+	return o.releaseAdmission, nil
+}
 
-	// Contended: publish the waits-for edge; the arrival closing a cycle
-	// is the one that fails.
-	if cycle := publishWait(chain, o); cycle != "" {
-		return nil, fmt.Errorf("%w: %s", ErrDeadlock, cycle)
-	}
-	// Cycles the local graph cannot close (through a remote site) are the
-	// detector's job: register the block so edge-chasing probes can find —
-	// and, if this chain is the chosen victim, abort — this wait.
-	var abortCh <-chan string
-	blockEnd := func() {}
-	if det := o.detector(); det != nil {
-		abortCh, blockEnd = det.blockBegin(chain, o)
-	}
+// await blocks chain on o's admission. The wait edge is published and
+// chased by the detector of o's site (or the process default), which
+// fires the abort if this chain is the victim of a cycle; the timeout is
+// the backstop.
+func (o *Object) await(chain *callChain) error {
+	abortCh, end := o.detector().blockBegin(chain, o)
+	defer end()
 	timeout := o.admitTimeout
 	if timeout <= 0 {
 		timeout = DefaultAdmissionTimeout
@@ -238,17 +169,16 @@ func (o *Object) admit(inv *Invocation, method string) (func(), error) {
 	defer timer.Stop()
 	select {
 	case o.admission <- struct{}{}:
-		blockEnd()
-		chain.acquired(o)
-		return func() { chain.released(o) }, nil
+		// Swap the wait edge for the holder edge in one step of the graph.
+		graphMu.Lock()
+		chain.wait = nil
+		o.holder.Store(chain)
+		graphMu.Unlock()
+		return nil
 	case desc := <-abortCh:
-		blockEnd()
-		unpublishWait(chain)
-		return nil, fmt.Errorf("%w: %s", ErrDeadlock, desc)
+		return fmt.Errorf("%w: %s aborted as the victim of a %s", ErrDeadlock, chain.label(), desc)
 	case <-timer.C:
-		blockEnd()
-		unpublishWait(chain)
-		return nil, fmt.Errorf("%w: %s waited %v for %s (%s)", ErrAdmissionTimeout,
+		return fmt.Errorf("%w: %s waited %v for %s (%s)", ErrAdmissionTimeout,
 			chain.label(), timeout, objLabel(o), holderDesc(o))
 	}
 }
@@ -256,9 +186,7 @@ func (o *Object) admit(inv *Invocation, method string) (func(), error) {
 // holderDesc names the chain holding o's admission at backstop time, so a
 // timeout firing is debuggable: it identifies both sides of the blockage.
 func holderDesc(o *Object) string {
-	waitsFor.mu.Lock()
-	holder := waitsFor.holder[o]
-	waitsFor.mu.Unlock()
+	holder := o.holder.Load()
 	if holder == nil {
 		return "currently unheld"
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -354,5 +356,70 @@ func TestSerializedAdmissionTimeout(t *testing.T) {
 	// The object recovers once the holder releases.
 	if _, err := obj.Invoke(stranger(), "leaf"); err != nil {
 		t.Errorf("post-release invoke: %v", err)
+	}
+}
+
+// TestAscendingAdmissionsHaveNoPhantomDeadlock: chains that enter
+// Serialized objects only in ascending index order can never close a
+// waits-for cycle, so any ErrDeadlock here is a phantom edge seen by a
+// walk (a wait edge already traded for a holder edge), and any
+// ErrAdmissionTimeout a lost wake-up. Run it at -cpu 1,2,4 and under
+// -race too.
+func TestAscendingAdmissionsHaveNoPhantomDeadlock(t *testing.T) {
+	const nobj, workers, rounds = 6, 16, 150
+	objs := make([]*Object, nobj)
+	for i := range objs {
+		b := NewBuilder(gen, fmt.Sprintf("Asc%d", i), WithPolicy(allowAllPolicy()),
+			Serialized(), AdmissionTimeout(5*time.Second))
+		// enter(path...) admits this object, then the next one on the path;
+		// yielding while admitted makes chains queue even at -cpu 1.
+		b.FixedMethod("enter", NewNativeBody("asc.enter", func(inv *Invocation, path []value.Value) (value.Value, error) {
+			runtime.Gosched()
+			if len(path) == 0 {
+				return value.Null, nil
+			}
+			next, _ := path[0].Int()
+			return inv.InvokeOn(objs[next], "enter", path[1:]...)
+		}))
+		objs[i] = b.MustBuild()
+	}
+
+	var mu sync.Mutex
+	var deadlocks, timeouts, other int
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			caller := stranger()
+			for r := 0; r < rounds; r++ {
+				// An ascending path that varies by worker and round.
+				first := (w + r) % nobj
+				var path []value.Value
+				for i := first + 1; i < nobj; i++ {
+					if (w+r+i)%3 != 0 {
+						path = append(path, value.NewInt(int64(i)))
+					}
+				}
+				_, err := objs[first].Invoke(caller, "enter", path...)
+				mu.Lock()
+				switch {
+				case err == nil:
+				case errors.Is(err, ErrDeadlock):
+					deadlocks++
+				case errors.Is(err, ErrAdmissionTimeout):
+					timeouts++
+				default:
+					other++
+					t.Error(err)
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if deadlocks != 0 || timeouts != 0 || other != 0 {
+		t.Errorf("ascending admissions: %d phantom ErrDeadlock, %d ErrAdmissionTimeout, %d other errors",
+			deadlocks, timeouts, other)
 	}
 }

@@ -17,7 +17,7 @@ import (
 //
 // The probe verb is idempotent by construction — HandleProbe only reads
 // the waits-for graph and (at most) re-delivers the same abort to the
-// same victim, which the blocked-chain registry dedups — so ResilientConn
+// same victim, whose one-slot abort channel drops it — so ResilientConn
 // may retry it after a transport failure (see retrySafeVerb).
 const verbProbe = "hadas.deadlock.probe"
 

@@ -186,6 +186,70 @@ func TestCompletedChainsForgotten(t *testing.T) {
 		t.Errorf("site B still tracks %d chains after completion", n)
 	}
 
+	// The same holds for a chain minted below the top-level call (a plain
+	// front object reaching a Serialized relay), and for that chain's
+	// incarnation at B blocking on a site-less Serialized gate — which
+	// registers it with the process-default detector.
+	gateHeld, gateFree := make(chan struct{}), make(chan struct{})
+	gb := b.NewAPOBuilder("Gate", core.Serialized(), core.WithResolver(nil))
+	gb.FixedMethod("hold", core.NewNativeBody("gc.hold", func(*core.Invocation, []value.Value) (value.Value, error) {
+		close(gateHeld)
+		<-gateFree
+		return value.Null, nil
+	}))
+	gb.FixedScriptMethod("pass", `fn() { return "passed"; }`)
+	gate := gb.MustBuild()
+	gated := b.NewAPOBuilder("Gated")
+	gated.FixedMethod("enter", core.NewNativeBody("gc.enter", func(inv *core.Invocation, _ []value.Value) (value.Value, error) {
+		return inv.InvokeOn(gate, "pass")
+	}))
+	if err := b.AddAPO("gated", gated.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	rb := a.NewAPOBuilder("Relay", core.Serialized())
+	rb.FixedMethod("relay", core.NewNativeBody("gc.relay", func(inv *core.Invocation, _ []value.Value) (value.Value, error) {
+		return a.InvokeRemoteFrom(inv, "gcb", inv.Self().Principal(), "gated", "enter")
+	}))
+	relay := rb.MustBuild()
+	fb := a.NewAPOBuilder("Front")
+	fb.FixedMethod("go", core.NewNativeBody("gc.front", func(inv *core.Invocation, _ []value.Value) (value.Value, error) {
+		return inv.InvokeOn(relay, "relay")
+	}))
+	front := fb.MustBuild()
+
+	holdDone := make(chan error, 1)
+	go func() {
+		_, err := gate.Invoke(b.IOO().Principal(), "hold")
+		holdDone <- err
+	}()
+	<-gateHeld
+	frontDone := make(chan error, 1)
+	go func() {
+		v, err := front.Invoke(client, "go")
+		if err == nil && v.String() != "passed" {
+			err = errors.New("front returned " + v.String())
+		}
+		frontDone <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); core.DefaultDetector().ChainCount() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("relayed chain never blocked on the site-less gate")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gateFree)
+	if err := <-holdDone; err != nil {
+		t.Fatalf("gate hold: %v", err)
+	}
+	if err := <-frontDone; err != nil {
+		t.Fatalf("front: %v", err)
+	}
+	for _, d := range []*core.Detector{a.DeadlockDetector(), b.DeadlockDetector(), core.DefaultDetector()} {
+		if n := d.ChainCount(); n != 0 {
+			t.Errorf("detector %q still tracks %d chains after completion", d.Site(), n)
+		}
+	}
+
 	// A stale probe naming a completed (or never-known) chain crosses the
 	// wire fine and dead-ends.
 	v, err := a.ForwardProbe("gcb", core.Probe{

@@ -222,7 +222,7 @@ func (s *Site) installPeer(name, domain, addr string, conn transport.Conn, ambBy
 // migration ID (a replayed hadas.dispatch returns the recorded outcome,
 // it never double-installs or re-runs onArrival), and a deadlock probe
 // only reads the waits-for graph — at worst a replay re-delivers the same
-// verdict to the same victim, which the blocked-chain registry dedups.
+// verdict to the same victim, whose one-slot abort channel drops it.
 // hadas.export still appends a deployment record at the origin and
 // hadas.invoke runs arbitrary method bodies — a duplicate could double a
 // side effect.
