@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify fmt-check vet build test race verify-race bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly
+.PHONY: verify fmt-check vet build test race verify-race bench-smoke bench-record bench-check bench-parallel bench-profile chaos-short chaos chaos-nightly fuzz-short
 
 # Benchmarks tracked for regressions across PRs (see cmd/benchguard).
 # Each is run BENCH_COUNT times and benchguard keeps the fastest
@@ -40,9 +40,10 @@ BENCH_RECOVER_TIME = 1x
 
 # verify is the tier-1 gate: formatting, static checks, build, tests
 # (including the race detector), a one-iteration benchmark smoke run, a
-# warn-only comparison of the tracked benchmarks against BENCH_PR.json,
-# and the bounded chaos sweep (chaos-short) behind the SLO gate.
-verify: fmt-check vet build test verify-race bench-smoke bench-check chaos-short
+# comparison of the tracked benchmarks against BENCH_PR.json (slowdowns
+# warn, allocation increases fail), the bounded chaos sweep (chaos-short)
+# behind the SLO gate, and a bounded run of every fuzz target (fuzz-short).
+verify: fmt-check vet build test verify-race bench-smoke bench-check chaos-short fuzz-short
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -81,9 +82,9 @@ bench-record:
 	   $(GO) test -run='^$$' -bench='$(BENCH_RECOVER)' -benchtime=$(BENCH_RECOVER_TIME) -count=$(BENCH_COUNT) -benchmem . ; } \
 		| $(GO) run ./cmd/benchguard -mode record
 
-# bench-check warns (never fails) when a tracked benchmark runs >20%
-# slower — or allocates more per op — than the latest BENCH_PR.json
-# snapshot.
+# bench-check warns when a tracked benchmark runs >20% slower than the
+# latest BENCH_PR.json snapshot, and fails when one allocates more per op:
+# allocation counts carry no timing noise, so any increase is real.
 bench-check:
 	@{ $(GO) test -run='^$$' -bench='$(BENCH_TRACKED)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
 	   $(GO) test -run='^$$' -bench='$(BENCH_WALL)' -benchtime=$(BENCH_WALL_TIME) -count=$(BENCH_COUNT) -benchmem . ; \
@@ -144,3 +145,13 @@ chaos-nightly:
 		-seed-base $${CHAOS_SEED_BASE:-$$(date +%Y%m%d)} \
 		-sites 7 -epochs 4 -clients 4 -ops 12 -agents 6 -hops 3 \
 		-slo CHAOS_SLO.json -out /tmp/repro-chaos-nightly.json
+
+# fuzz-short runs each native fuzz target for 10 s: the frame reader, and
+# the typed hadas.invoke request and reply codecs differentially against
+# the generic value codec. `go test -fuzz` takes one target and one
+# package per run. A failing input is written under the package's
+# testdata/fuzz/ and replays in plain `go test` once committed.
+fuzz-short:
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzInvokeRequest$$' -fuzztime=10s ./internal/hadas
+	$(GO) test -run='^$$' -fuzz='^FuzzInvokeResult$$' -fuzztime=10s ./internal/hadas

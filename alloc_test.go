@@ -59,3 +59,28 @@ func TestWarmInvocationPathsAllocFree(t *testing.T) {
 		}
 	})
 }
+
+// maxRemoteInvokeAllocs bounds a warm remote invoke over the in-process
+// transport (the BenchmarkP_RemoteInvoke shape). It costs 10 today: 4 in
+// the hadas.invoke codec, 4 in the per-call timeout context and 2 in the
+// transport's isolation copies of request and reply.
+const maxRemoteInvokeAllocs = 20
+
+func TestWarmRemoteInvokeAllocBound(t *testing.T) {
+	host, _, names, cleanup, err := experiments.LoadedSites(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	client := security.Principal{Object: host.Generator().New(), Domain: host.Domain()}
+	arg := value.NewInt(1)
+	call := func() {
+		if _, err := host.InvokeRemote("bench-origin", client, names[3], "work", arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call()
+	if n := testing.AllocsPerRun(200, call); n > maxRemoteInvokeAllocs {
+		t.Errorf("warm remote invoke: %v allocs/op, want at most %d", n, maxRemoteInvokeAllocs)
+	}
+}

@@ -5,11 +5,12 @@
 //	record — append a snapshot of the parsed ns/op numbers to the history
 //	         file (BENCH_PR.json), labeled with -label (default: the
 //	         current git revision if available, else "local").
-//	check  — compare the parsed numbers against the most recent snapshot
-//	         and print a warning for every benchmark slower by more than
-//	         -threshold (default 20%). Warn-only: the exit status is 0
-//	         either way, so noisy CI machines don't block merges; the
-//	         warnings are for the human reading the verify log.
+//	check  — compare the parsed numbers against the most recent snapshot.
+//	         A benchmark slower by more than -threshold (default 20%) gets
+//	         a warning only, so noisy CI machines don't block merges. A
+//	         benchmark allocating more per op than recorded fails the
+//	         check (exit status 1): allocation counts carry no timing
+//	         noise, so any increase is a real change.
 //
 // Usage:
 //
@@ -130,7 +131,7 @@ func regressions(base, cur map[string]float64, threshold float64) []string {
 	return warns
 }
 
-// allocRegressions flags any benchmark allocating more per op than the
+// allocRegressions lists every benchmark allocating more per op than the
 // baseline. Allocation counts are deterministic (no scheduler noise), so
 // any increase is a real change — most of the warm paths assert 0.
 func allocRegressions(base, cur map[string]float64) []string {
@@ -215,15 +216,24 @@ func run(mode, file, label string, threshold float64, in io.Reader, out io.Write
 			return nil
 		}
 		base := h.Records[len(h.Records)-1]
-		warns := regressions(base.NsOp, cur.ns, threshold)
-		warns = append(warns, allocRegressions(base.AllocsOp, cur.allocs)...)
-		if len(warns) == 0 {
+		slower := regressions(base.NsOp, cur.ns, threshold)
+		leaks := allocRegressions(base.AllocsOp, cur.allocs)
+		if len(slower)+len(leaks) == 0 {
 			fmt.Fprintf(out, "benchguard: no regression >%.0f%% vs %q\n", threshold*100, base.Label)
 			return nil
 		}
-		fmt.Fprintf(out, "benchguard: WARNING — regressions vs %q (%s):\n", base.Label, base.When)
-		for _, w := range warns {
-			fmt.Fprintf(out, "  %s\n", w)
+		if len(slower) > 0 {
+			fmt.Fprintf(out, "benchguard: WARNING — slower vs %q (%s):\n", base.Label, base.When)
+			for _, w := range slower {
+				fmt.Fprintf(out, "  %s\n", w)
+			}
+		}
+		if len(leaks) > 0 {
+			fmt.Fprintf(out, "benchguard: FAIL — more allocs/op vs %q (%s):\n", base.Label, base.When)
+			for _, w := range leaks {
+				fmt.Fprintf(out, "  %s\n", w)
+			}
+			return fmt.Errorf("benchguard: %d benchmarks allocate more per op than %q", len(leaks), base.Label)
 		}
 	default:
 		return fmt.Errorf("benchguard: unknown -mode %q (want record or check)", mode)
@@ -233,7 +243,7 @@ func run(mode, file, label string, threshold float64, in io.Reader, out io.Write
 
 func main() {
 	var (
-		mode      = flag.String("mode", "check", "record (append snapshot) or check (warn on regressions)")
+		mode      = flag.String("mode", "check", "record (append snapshot) or check (warn on slowdowns, fail on allocation increases)")
 		file      = flag.String("file", "BENCH_PR.json", "benchmark history file")
 		label     = flag.String("label", "", "snapshot label for record mode (default: git revision)")
 		threshold = flag.Float64("threshold", 0.20, "relative slowdown that triggers a warning")

@@ -77,14 +77,26 @@ func TestCheckFlagsAllocIncrease(t *testing.T) {
 	if err := run("record", file, "seed", 0.20, strings.NewReader(sampleBench), &out); err != nil {
 		t.Fatal(err)
 	}
-	// Same speed, one extra allocation: still a warning.
+	// Same speed, one extra allocation: the check fails.
 	leaky := strings.Replace(sampleBench, "2 allocs/op", "3 allocs/op", 1)
 	out.Reset()
-	if err := run("check", file, "", 0.20, strings.NewReader(leaky), &out); err != nil {
-		t.Fatal(err)
+	if err := run("check", file, "", 0.20, strings.NewReader(leaky), &out); err == nil {
+		t.Fatalf("alloc-regressed check passed; output = %q", out.String())
 	}
-	if !strings.Contains(out.String(), "WARNING") || !strings.Contains(out.String(), "allocs/op") {
+	if !strings.Contains(out.String(), "FAIL") || !strings.Contains(out.String(), "3 allocs/op vs 2 recorded") {
 		t.Errorf("alloc-regressed check output = %q", out.String())
+	}
+	// A slowdown does not excuse the extra allocation.
+	both := strings.Replace(leaky, "265.3 ns/op", "530.6 ns/op", 1)
+	out.Reset()
+	if err := run("check", file, "", 0.20, strings.NewReader(both), &out); err == nil {
+		t.Errorf("slower, alloc-regressed check passed; output = %q", out.String())
+	}
+	// Fewer allocations pass.
+	leaner := strings.Replace(sampleBench, "2 allocs/op", "1 allocs/op", 1)
+	out.Reset()
+	if err := run("check", file, "", 0.20, strings.NewReader(leaner), &out); err != nil {
+		t.Errorf("alloc-improved check failed: %v; output = %q", err, out.String())
 	}
 }
 

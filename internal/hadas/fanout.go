@@ -19,15 +19,15 @@ import (
 
 // fanReq is one wire request of a fan-out batch.
 type fanReq struct {
-	peer string
-	verb string
-	body value.Value
+	peer    string
+	verb    string
+	payload []byte
 }
 
-// fanRes is the decoded outcome of one fan-out request.
+// fanRes is the outcome of one fan-out request: its reply payload, or err.
 type fanRes struct {
-	val value.Value
-	err error
+	payload []byte
+	err     error
 }
 
 // fanOut issues every request pipelined and returns outcomes matching
@@ -53,7 +53,7 @@ func (s *Site) fanOut(reqs []fanReq) []fanRes {
 			}
 			batch := make([]transport.MultiRequest, len(idxs))
 			for k, i := range idxs {
-				batch[k] = transport.MultiRequest{Verb: reqs[i].verb, Payload: encodeReq(reqs[i].body)}
+				batch[k] = transport.MultiRequest{Verb: reqs[i].verb, Payload: reqs[i].payload}
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 			defer cancel()
@@ -68,8 +68,7 @@ func (s *Site) fanOut(reqs []fanReq) []fanRes {
 					out[i] = fanRes{err: err}
 					continue
 				}
-				v, err := decodeReq(res.Payload)
-				out[i] = fanRes{val: v, err: err}
+				out[i] = fanRes{payload: res.Payload}
 			}
 		}(peer, idxs)
 	}
@@ -103,13 +102,8 @@ type FanOutResult struct {
 func (s *Site) InvokeFanOut(calls []FanOutCall) []FanOutResult {
 	reqs := make([]fanReq, len(calls))
 	for i, c := range calls {
-		reqs[i] = fanReq{peer: c.Peer, verb: verbInvoke, body: value.NewMap(map[string]value.Value{
-			"site":   value.NewString(s.cfg.Name),
-			"caller": value.NewString(c.Caller.Object.String()),
-			"target": value.NewString(c.Target),
-			"method": value.NewString(c.Method),
-			"args":   value.NewList(c.Args),
-		})}
+		reqs[i] = fanReq{peer: c.Peer, verb: verbInvoke,
+			payload: encodeInvokeRequest(s.cfg.Name, c.Caller.Object, c.Target, c.Method, c.Args)}
 	}
 	raw := s.fanOut(reqs)
 	out := make([]FanOutResult, len(calls))
@@ -119,13 +113,13 @@ func (s *Site) InvokeFanOut(calls []FanOutCall) []FanOutResult {
 			out[i].Err = r.err
 			continue
 		}
-		m, ok := r.val.Map()
-		if !ok {
-			out[i].Err = fmt.Errorf("invoke %s!%s.%s: malformed response",
-				calls[i].Peer, calls[i].Target, calls[i].Method)
+		result, err := decodeInvokeResult(r.payload)
+		if err != nil {
+			out[i].Err = fmt.Errorf("invoke %s!%s.%s: %w",
+				calls[i].Peer, calls[i].Target, calls[i].Method, err)
 			continue
 		}
-		out[i].Result = m["result"]
+		out[i].Result = result
 	}
 	return out
 }
@@ -145,10 +139,10 @@ func (s *Site) TraceAgent(start, agentName string) ([]string, AgentStatus, error
 	peers := s.PeerNames()
 	reqs := make([]fanReq, len(peers))
 	for i, p := range peers {
-		reqs[i] = fanReq{peer: p, verb: verbMigrationStatus, body: value.NewMap(map[string]value.Value{
+		reqs[i] = fanReq{peer: p, verb: verbMigrationStatus, payload: encodeReq(value.NewMap(map[string]value.Value{
 			"site":  value.NewString(s.cfg.Name),
 			"agent": value.NewString(agentName),
-		})}
+		}))}
 	}
 	raw := s.fanOut(reqs)
 
@@ -159,7 +153,12 @@ func (s *Site) TraceAgent(start, agentName string) ([]string, AgentStatus, error
 			errs[p] = raw[i].err
 			continue
 		}
-		m, ok := raw[i].val.Map()
+		v, err := decodeReq(raw[i].payload)
+		if err != nil {
+			errs[p] = err
+			continue
+		}
+		m, ok := v.Map()
 		if !ok {
 			errs[p] = fmt.Errorf("agent status %s: malformed response", agentName)
 			continue

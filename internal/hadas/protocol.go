@@ -24,10 +24,12 @@ func encodeReq(v value.Value) []byte { return wire.EncodeValue(v) }
 func decodeReq(b []byte) (value.Value, error) {
 	v, err := wire.DecodeValue(b)
 	if err != nil {
-		return value.Null, fmt.Errorf("protocol payload: %w", err)
+		return value.Null, protocolError(err)
 	}
 	return v, nil
 }
+
+func protocolError(err error) error { return fmt.Errorf("protocol payload: %w", err) }
 
 // field extracts a string field; absent or null fields read as empty (a
 // missing value must not alias the literal string "null").
@@ -41,6 +43,9 @@ func field(m map[string]value.Value, key string) string {
 
 // handle is the site's protocol endpoint.
 func (s *Site) handle(ctx context.Context, verb string, payload []byte) ([]byte, error) {
+	if verb == verbInvoke { // the remote-call path has its own typed codec
+		return s.handleInvoke(ctx, payload)
+	}
 	req, err := decodeReq(payload)
 	if err != nil {
 		return nil, err
@@ -55,8 +60,6 @@ func (s *Site) handle(ctx context.Context, verb string, payload []byte) ([]byte,
 		resp, err = s.handleLink(m)
 	case verbExport:
 		resp, err = s.handleExport(m)
-	case verbInvoke:
-		resp, err = s.handleInvoke(ctx, m)
 	case verbDispatch:
 		resp, err = s.handleDispatch(ctx, m)
 	case verbMigrationStatus:
@@ -502,21 +505,16 @@ func (s *Site) invokeRemote(inv *core.Invocation, peerName string,
 	caller security.Principal, target, method string, args []value.Value) (value.Value, error) {
 	gid, done := inv.BeginRemoteCall(s.det, peerName)
 	defer done()
-	resp, err := s.callPeerChain(peerName, verbInvoke, gid, value.NewMap(map[string]value.Value{
-		"site":   value.NewString(s.cfg.Name),
-		"caller": value.NewString(caller.Object.String()),
-		"target": value.NewString(target),
-		"method": value.NewString(method),
-		"args":   value.NewList(args),
-	}))
+	out, err := s.callPeerRaw(peerName, verbInvoke, gid,
+		encodeInvokeRequest(s.cfg.Name, caller.Object, target, method, args))
 	if err != nil {
 		return value.Null, rewrapRemote(err)
 	}
-	m, ok := resp.Map()
-	if !ok {
-		return value.Null, fmt.Errorf("invoke %s!%s.%s: malformed response", peerName, target, method)
+	result, err := decodeInvokeResult(out)
+	if err != nil {
+		return value.Null, fmt.Errorf("invoke %s!%s.%s: %w", peerName, target, method, err)
 	}
-	return m["result"], nil
+	return result, nil
 }
 
 // handleInvoke dispatches a remote invocation. The caller's claimed object
@@ -527,44 +525,36 @@ func (s *Site) invokeRemote(inv *core.Invocation, peerName string,
 // request frame is adopted for the call's duration, so the invocation
 // re-enters admissions its chain already holds here, and a block becomes
 // a chaseable waits-for edge attributed to the right chain.
-func (s *Site) handleInvoke(ctx context.Context, m map[string]value.Value) (value.Value, error) {
-	fromSite := field(m, "site")
-	domain, err := s.peerDomain(fromSite)
+func (s *Site) handleInvoke(ctx context.Context, payload []byte) ([]byte, error) {
+	req, err := decodeInvokeRequest(payload)
 	if err != nil {
-		return value.Null, err
+		return nil, err
 	}
-	callerID, err := naming.ParseID(field(m, "caller"))
+	domain, err := s.peerDomain(req.site)
 	if err != nil {
-		return value.Null, fmt.Errorf("%w: caller id: %v", core.ErrArity, err)
+		return nil, err
 	}
-	target, err := s.ResolveObject(field(m, "target"))
+	callerID, err := naming.ParseID(req.caller)
 	if err != nil {
-		return value.Null, err
+		return nil, fmt.Errorf("%w: caller id: %v", core.ErrArity, err)
 	}
-	// A malformed args field is a protocol error, not an empty argument
-	// list: silently coercing a corrupted frame to zero args would invoke
-	// the method with the wrong arity.
-	var args []value.Value
-	if argsV, present := m["args"]; present && !argsV.IsNull() {
-		list, ok := argsV.List()
-		if !ok {
-			return value.Null, fmt.Errorf("%w: args is not a list", core.ErrArity)
-		}
-		args = list
+	target, err := s.ResolveObject(req.target)
+	if err != nil {
+		return nil, err
 	}
 	caller := security.Principal{Object: callerID, Domain: domain}
 	var result value.Value
 	if gid := transport.ChainFrom(ctx); gid != "" {
 		ac, release := s.det.Adopt(gid)
 		defer release()
-		result, err = target.InvokeWithChain(caller, ac, field(m, "method"), args...)
+		result, err = target.InvokeWithChain(caller, ac, req.method, req.args...)
 	} else {
-		result, err = target.Invoke(caller, field(m, "method"), args...)
+		result, err = target.Invoke(caller, req.method, req.args...)
 	}
 	if err != nil {
-		return value.Null, err
+		return nil, err
 	}
-	return value.NewMap(map[string]value.Value{"result": result}), nil
+	return encodeInvokeResult(result), nil
 }
 
 // UpdateAmbassadors invokes a method (typically a meta-method such as

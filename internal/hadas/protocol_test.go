@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/transport"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -123,6 +124,60 @@ func TestInvokeVerbRejectsMalformedArgs(t *testing.T) {
 	}))
 	if _, err := conn.Call(context.Background(), verbInvoke, payload); err != nil {
 		t.Errorf("null args rejected: %v", err)
+	}
+}
+
+// TestInvokeVerbRejectsMalformedTextFields: a hadas.invoke text field
+// (site, caller, target, method) holding a non-string is core.ErrArity at
+// the handler, not a value coerced to its text — an int target 5 must not
+// resolve the name "5". Null and absent fields still read as "".
+func TestInvokeVerbRejectsMalformedTextFields(t *testing.T) {
+	net := transport.NewInProcNet()
+	origin := newTestSite(t, net, "strict")
+	peer := newTestSite(t, net, "caller-site")
+	addEmployeeDB(t, origin)
+	five := origin.NewAPOBuilder("Five")
+	five.FixedScriptMethod("salaryOf", `fn(name) { return 5; }`)
+	if err := origin.AddAPO("5", five.MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.Link("strict"); err != nil {
+		t.Fatal(err)
+	}
+	request := func(field string, v value.Value) []byte {
+		m := map[string]value.Value{
+			"site":   value.NewString("caller-site"),
+			"caller": value.NewString(peer.IOO().ID().String()),
+			"target": value.NewString("payroll"),
+			"method": value.NewString("salaryOf"),
+			"args":   value.NewListOf(value.NewString("alice")),
+		}
+		m[field] = v
+		return wire.EncodeValue(value.NewMap(m))
+	}
+	ctx := context.Background()
+	for _, field := range []string{"site", "caller", "target", "method"} {
+		for _, v := range []value.Value{value.NewInt(5), value.NewListOf(value.NewString("payroll")),
+			value.NewRef("payroll"), value.NewBytes([]byte("payroll"))} {
+			_, err := origin.handle(ctx, verbInvoke, request(field, v))
+			if !errors.Is(err, core.ErrArity) || !strings.Contains(err.Error(), field+" is not a string") {
+				t.Errorf("%s = %v: err = %v, want ErrArity naming the field", field, v, err)
+			}
+		}
+	}
+	// A null method reads as "" (no such method), not as "null".
+	if _, err := origin.handle(ctx, verbInvoke, request("method", value.Null)); errors.Is(err, core.ErrArity) ||
+		!strings.Contains(err.Error(), `""`) {
+		t.Errorf("null method: err = %v, want a lookup failure for \"\"", err)
+	}
+	// The well-formed request still answers.
+	out, err := origin.handle(ctx, verbInvoke, request("target", value.NewString("5")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wire.DecodeValue(out)
+	if m, _ := reply.Map(); err != nil || !m["result"].Equal(value.NewInt(5)) {
+		t.Errorf("string target \"5\" = %v, %v", reply, err)
 	}
 }
 

@@ -544,36 +544,41 @@ func (s *Site) peerDomain(name string) (string, error) {
 // degradation Ambassadors rely on — instead of burning the call timeout
 // on a peer already known to be dead.
 func (s *Site) callPeer(peerName, verb string, req value.Value) (value.Value, error) {
-	return s.callPeerChain(peerName, verb, "", req)
-}
-
-// callPeerChain is callPeer with a call-chain identity stamped on the
-// request frame (empty: the request runs on no serialized chain).
-func (s *Site) callPeerChain(peerName, verb, chain string, req value.Value) (value.Value, error) {
-	conn, err := s.connTo(peerName)
+	out, err := s.callPeerRaw(peerName, verb, "", encodeReq(req))
 	if err != nil {
 		return value.Null, err
 	}
-	out, err := s.callConnChain(conn, verb, chain, req)
+	return decodeReq(out)
+}
+
+// callPeerRaw is callPeer over encoded messages, with a call-chain identity
+// stamped on the request frame (empty: the request runs on no serialized
+// chain).
+func (s *Site) callPeerRaw(peerName, verb, chain string, payload []byte) ([]byte, error) {
+	conn, err := s.connTo(peerName)
+	if err != nil {
+		return nil, err
+	}
+	out, err := s.callConnRaw(conn, verb, chain, payload)
 	if errors.Is(err, transport.ErrCircuitOpen) {
-		return value.Null, fmt.Errorf("%w: site %q: %v", ErrPeerDown, peerName, err)
+		return nil, fmt.Errorf("%w: site %q: %v", ErrPeerDown, peerName, err)
 	}
 	return out, err
 }
 
 // callConn runs one round trip under the site's configured call timeout.
 func (s *Site) callConn(conn transport.Conn, verb string, req value.Value) (value.Value, error) {
-	return s.callConnChain(conn, verb, "", req)
-}
-
-func (s *Site) callConnChain(conn transport.Conn, verb, chain string, req value.Value) (value.Value, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-	defer cancel()
-	out, err := conn.Call(transport.WithChain(ctx, chain), verb, encodeReq(req))
+	out, err := s.callConnRaw(conn, verb, "", encodeReq(req))
 	if err != nil {
 		return value.Null, err
 	}
 	return decodeReq(out)
+}
+
+func (s *Site) callConnRaw(conn transport.Conn, verb, chain string, payload []byte) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
+	defer cancel()
+	return conn.Call(transport.WithChain(ctx, chain), verb, payload)
 }
 
 // ---- persistence ----

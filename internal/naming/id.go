@@ -40,11 +40,25 @@ func (id ID) IsNil() bool { return id == Nil }
 // String renders the canonical lower-case hex form, grouped for readability:
 // ssssssss-tttttttttttt-cccc-rrrrrrrr.
 func (id ID) String() string {
-	return fmt.Sprintf("%s-%s-%s-%s",
-		hex.EncodeToString(id[0:4]),
-		hex.EncodeToString(id[4:10]),
-		hex.EncodeToString(id[10:12]),
-		hex.EncodeToString(id[12:16]))
+	var buf [IDTextLen]byte
+	return string(id.AppendText(buf[:0]))
+}
+
+// IDTextLen is the length of the canonical text form; its dashes sit at
+// offsets 8, 21 and 26.
+const IDTextLen = 35
+
+// AppendText appends the canonical String form of id to b and returns the
+// extended slice; it allocates only when b lacks room for 35 more bytes.
+func (id ID) AppendText(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	for i, c := range id {
+		if i == 4 || i == 10 || i == 12 {
+			b = append(b, '-')
+		}
+		b = append(b, digits[c>>4], digits[c&0x0f])
+	}
+	return b
 }
 
 // Site returns the 32-bit site fingerprint embedded in the ID.
@@ -58,29 +72,50 @@ func (id ID) Minted() time.Time {
 	return time.UnixMilli(int64(ms)).UTC()
 }
 
-// ParseID parses the canonical String form.
-func ParseID(s string) (ID, error) {
+// ParseID parses the canonical String form; hex digits may be upper- or
+// lower-case.
+func ParseID(s string) (ID, error) { return parseID(s) }
+
+// ParseIDBytes is ParseID over a byte slice, for callers holding the text
+// in a message buffer; it does not retain b.
+func ParseIDBytes(b []byte) (ID, error) { return parseID(b) }
+
+// parseID decodes in place: a well-formed literal costs no allocation.
+func parseID[T string | []byte](s T) (ID, error) {
 	var id ID
-	if len(s) != 35 || s[8] != '-' || s[21] != '-' || s[26] != '-' {
+	if len(s) != IDTextLen || s[8] != '-' || s[21] != '-' || s[26] != '-' {
 		return Nil, fmt.Errorf("%w: %q", ErrBadID, s)
 	}
-	parts := []struct {
-		from, to int // positions in s
-		at       int // offset in id
-	}{
-		{0, 8, 0},
-		{9, 21, 4},
-		{22, 26, 10},
-		{27, 35, 12},
-	}
-	for _, p := range parts {
-		b, err := hex.DecodeString(s[p.from:p.to])
-		if err != nil {
-			return Nil, fmt.Errorf("%w: %q: %v", ErrBadID, s, err)
+	i := 0 // position in s
+	for at := range id {
+		if at == 4 || at == 10 || at == 12 {
+			i++ // the dash, checked above
 		}
-		copy(id[p.at:], b)
+		hi, ok1 := fromHex(s[i])
+		lo, ok2 := fromHex(s[i+1])
+		if !ok1 || !ok2 {
+			bad := s[i]
+			if ok1 {
+				bad = s[i+1]
+			}
+			return Nil, fmt.Errorf("%w: %q: %v", ErrBadID, s, hex.InvalidByteError(bad))
+		}
+		id[at] = hi<<4 | lo
+		i += 2
 	}
 	return id, nil
+}
+
+func fromHex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // Generator mints IDs for one site without coordination. The zero value is

@@ -161,6 +161,19 @@ func (r *Reader) Bool() (bool, error) {
 
 // BytesField reads a length-prefixed byte string (copied).
 func (r *Reader) BytesField() ([]byte, error) {
+	b, err := r.BytesView()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
+}
+
+// BytesView reads a length-prefixed byte string without copying: the
+// result aliases the reader's buffer, capacity-clipped so an append to it
+// never writes into the bytes that follow.
+func (r *Reader) BytesView() ([]byte, error) {
 	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
@@ -171,19 +184,27 @@ func (r *Reader) BytesField() ([]byte, error) {
 	if uint64(r.Remaining()) < n {
 		return nil, r.fail("bytes payload")
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += int(n)
-	return out, nil
+	end := r.off + int(n)
+	b := r.buf[r.off:end:end]
+	r.off = end
+	return b, nil
 }
 
-// String reads a length-prefixed string.
+// String reads a length-prefixed string, copying its bytes once.
 func (r *Reader) String() (string, error) {
-	b, err := r.BytesField()
+	b, err := r.BytesView()
 	if err != nil {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// End reports an error unless the input has been consumed in full.
+func (r *Reader) End() error {
+	if !r.Done() {
+		return fmt.Errorf("%w: %d trailing bytes after value", ErrCodec, r.Remaining())
+	}
+	return nil
 }
 
 // Count reads an element count, bounded by MaxElems.

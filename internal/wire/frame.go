@@ -116,7 +116,9 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame. The returned Payload is a
+// capacity-clipped sub-slice of the freshly allocated frame body, not a
+// copy of it: it stays valid for as long as the caller holds it.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -145,7 +147,8 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if f.Chain, err = rd.String(); err != nil {
 		return Frame{}, err
 	}
-	if f.Payload, err = rd.BytesField(); err != nil {
+	// The payload shares body, which this frame alone owns: no second copy.
+	if f.Payload, err = rd.BytesView(); err != nil {
 		return Frame{}, err
 	}
 	if !rd.Done() {

@@ -146,7 +146,7 @@ func randValue(rng *rand.Rand, depth int) value.Value {
 	}
 }
 
-func goldenPath(t *testing.T, name string) string {
+func goldenPath(t testing.TB, name string) string {
 	t.Helper()
 	return filepath.Join("testdata", name)
 }
@@ -165,7 +165,7 @@ func writeGolden(t *testing.T, name string, v any) {
 	}
 }
 
-func readGolden(t *testing.T, name string, v any) {
+func readGolden(t testing.TB, name string, v any) {
 	t.Helper()
 	raw, err := os.ReadFile(goldenPath(t, name))
 	if err != nil {
@@ -241,13 +241,16 @@ func TestValueGoldenVectors(t *testing.T) {
 
 // TestValueRoundTripProperty is the property-style sweep: a larger seeded
 // random population (not stored as golden) must round-trip the wire codec
-// to Equal values with stable re-encodings, and JSON-native values must
-// survive ToJSON→FromJSON.
+// to Equal values with stable re-encodings of ValueSize bytes, and
+// JSON-native values must survive ToJSON→FromJSON.
 func TestValueRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	for i := 0; i < 500; i++ {
 		v := randValue(rng, 0)
 		enc := EncodeValue(v)
+		if n := ValueSize(v); n != len(enc) {
+			t.Fatalf("#%d %v: ValueSize = %d, encoding has %d bytes", i, v, n, len(enc))
+		}
 		dec, err := DecodeValue(enc)
 		if err != nil {
 			t.Fatalf("#%d %v: decode: %v", i, v, err)
